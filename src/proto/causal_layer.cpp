@@ -90,7 +90,7 @@ void CausalLayer::up(Message m) {
     type = static_cast<Type>(r.u8());
     if (type == Type::kData) {
       origin = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(8);
       vc.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
     }
@@ -119,7 +119,7 @@ void CausalLayer::up_batch(MessageBatch b) {
         type = static_cast<Type>(r.u8());
         if (type == Type::kData) {
           origin = r.u32();
-          const std::uint32_t n = r.u32();
+          const std::uint32_t n = r.count(8);
           vc.reserve(n);
           for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
         }

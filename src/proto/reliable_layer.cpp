@@ -106,6 +106,7 @@ void ReliableLayer::start() {
   n_refill_ = tr_->intern("rel.self_refill");
   if (MetricsRegistry* reg = ctx().metrics()) {
     reg->attach_counter("rel.nacks_sent", &stats_.nacks_sent);
+    reg->attach_counter("rel.heartbeats_sent", &stats_.heartbeats_sent);
     reg->attach_counter("rel.retransmissions", &stats_.retransmissions);
     reg->attach_counter("rel.self_refills", &stats_.self_refills);
     reg->attach_counter("rel.duplicates_dropped", &stats_.duplicates_dropped);
@@ -236,11 +237,7 @@ void ReliableLayer::up_impl(Message m, MessageBatch* out) {
           break;
         case Type::kNack: {
           origin = r.u32();
-          const std::uint32_t count = r.u32();
-          // The count is attacker-shaped until checked against the bytes
-          // actually present (8 per entry) — reserving first would turn a
-          // malformed frame into a giant allocation instead of a drop.
-          if (count > r.remaining() / 8) throw DecodeError("nack: count exceeds frame");
+          const std::uint32_t count = r.count(8);
           nack_ranges.reserve(count);
           for (std::uint32_t i = 0; i < count; ++i) {
             const std::uint64_t s = r.u64();
@@ -265,9 +262,7 @@ void ReliableLayer::up_impl(Message m, MessageBatch* out) {
           break;
         case Type::kAckVec: {
           origin = r.u32();  // sender of the ack vector
-          const std::uint32_t count = r.u32();
-          // Same untrusted-count check as kNack; entries are u32+u64.
-          if (count > r.remaining() / 12) throw DecodeError("ack vector: count exceeds frame");
+          const std::uint32_t count = r.count(12);
           ack_vec.reserve(count);
           for (std::uint32_t i = 0; i < count; ++i) {
             const std::uint32_t o = r.u32();
@@ -490,7 +485,8 @@ void ReliableLayer::send_nacks() {
 }
 
 void ReliableLayer::send_heartbeat() {
-  if (next_seq_ > 0) {
+  // Data sent since the last tick already carried the horizon.
+  if (next_seq_ > 0 && next_seq_ == heartbeat_seq_) {
     Message m = Message::group({});
     const std::uint32_t origin = ctx().self().v;
     const std::uint64_t next = next_seq_;
@@ -499,8 +495,10 @@ void ReliableLayer::send_heartbeat() {
       w.u32(origin);
       w.u64(next);
     });
+    ++stats_.heartbeats_sent;
     ctx().send_down(std::move(m));
   }
+  heartbeat_seq_ = next_seq_;
   ctx().set_timer(cfg_.heartbeat_interval, [this] { send_heartbeat(); });
 }
 

@@ -10,7 +10,8 @@
 //     persists; the origin retransmits point-to-point;
 //   - senders periodically multicast a HEARTBEAT advertising their highest
 //     sequence so that a lost *final* message (no later message to expose
-//     the gap) is still detected;
+//     the gap) is still detected; a tick is skipped while the stream is
+//     flowing, since every data frame already announces the same horizon;
 //   - receivers periodically ACK their contiguous prefix to each origin,
 //     and origins garbage-collect buffered copies acknowledged by all
 //     members that still count (see the eviction horizon below).
@@ -54,6 +55,12 @@ namespace msw {
 
 struct ReliableConfig {
   Duration nack_interval = 10 * kMillisecond;
+  /// Heartbeat tick. A tick multicasts the sender's horizon (next_seq_)
+  /// only if no data went out since the previous tick: a data frame sent
+  /// during the interval already announced it, and the next data frame or
+  /// the next tick exposes any tail loss. A streaming member therefore
+  /// sends none, a member that has gone quiet sends one every tick, and
+  /// tail loss at the end of a burst is detected within two intervals.
   Duration heartbeat_interval = 50 * kMillisecond;
   Duration ack_interval = 100 * kMillisecond;
   /// SRM-style peer-assisted recovery: every member retains copies of
@@ -141,6 +148,7 @@ class ReliableLayer : public Layer {
 
   struct Stats {
     std::uint64_t nacks_sent = 0;
+    std::uint64_t heartbeats_sent = 0;
     std::uint64_t retransmissions = 0;
     /// Own-stream copies re-delivered locally from sent_buffer_ after a
     /// crash dropped their loopback copies (see refill_own_gaps).
@@ -226,6 +234,9 @@ class ReliableLayer : public Layer {
   // for their loopback copy to arrive; anything still missing is lost
   // (crash downtime) and is re-delivered from sent_buffer_.
   std::uint64_t refill_bound_ = 0;
+  // next_seq_ at the previous heartbeat tick; a tick that finds it moved
+  // skips the heartbeat (see ReliableConfig::heartbeat_interval).
+  std::uint64_t heartbeat_seq_ = 0;
   Stats stats_;
 
   Tracer* tr_ = &Tracer::disabled();

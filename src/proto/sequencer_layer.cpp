@@ -88,7 +88,7 @@ void SequencerLayer::up(Message m) {
         oseq = r.u64();
         break;
       case Type::kGapNack: {
-        const std::uint32_t count = r.u32();
+        const std::uint32_t count = r.count(8);
         nack_gseqs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
         break;
@@ -204,7 +204,7 @@ void SequencerLayer::up_batch(MessageBatch b) {
             oseq = r.u64();
             break;
           case Type::kGapNack: {
-            const std::uint32_t count = r.u32();
+            const std::uint32_t count = r.count(8);
             nack_gseqs.reserve(count);
             for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
             break;

@@ -70,7 +70,7 @@ void TokenLayer::up(Message m) {
       case Type::kToken: {
         token.serial = r.u64();
         token.next_gseq = r.u64();
-        const std::uint32_t n = r.u32();
+        const std::uint32_t n = r.count(8);
         token.delivered.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) token.delivered.push_back(r.u64());
         break;
@@ -79,7 +79,7 @@ void TokenLayer::up(Message m) {
         serial = r.u64();
         break;
       case Type::kNack: {
-        const std::uint32_t count = r.u32();
+        const std::uint32_t count = r.count(8);
         nack_gseqs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
         break;

@@ -28,7 +28,7 @@ Bytes encode_view_body(const std::vector<std::uint32_t>& members) {
 
 std::vector<std::uint32_t> decode_view_body(std::span<const Byte> body) {
   Reader r(body);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4);
   std::vector<std::uint32_t> members;
   members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) members.push_back(r.u32());
@@ -88,7 +88,7 @@ void VsyncLayer::up(Message m) {
         break;
       case Type::kFlushReq: {
         view_id = r.u64();
-        const std::uint32_t n = r.u32();
+        const std::uint32_t n = r.count(4);
         member_list.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) member_list.push_back(r.u32());
         break;
@@ -97,7 +97,7 @@ void VsyncLayer::up(Message m) {
         view_id = r.u64();
         origin = r.u32();
         sent = r.u64();
-        const std::uint32_t n = r.u32();
+        const std::uint32_t n = r.count(12);
         for (std::uint32_t i = 0; i < n; ++i) {
           const std::uint32_t o = r.u32();
           const std::uint64_t delivered = r.u64();
@@ -107,10 +107,10 @@ void VsyncLayer::up(Message m) {
       }
       case Type::kCut: {
         view_id = r.u64();
-        const std::uint32_t mn = r.u32();
+        const std::uint32_t mn = r.count(4);
         member_list.reserve(mn);
         for (std::uint32_t i = 0; i < mn; ++i) member_list.push_back(r.u32());
-        const std::uint32_t n = r.u32();
+        const std::uint32_t n = r.count(12);
         for (std::uint32_t i = 0; i < n; ++i) {
           const std::uint32_t member = r.u32();
           const std::uint64_t count = r.u64();

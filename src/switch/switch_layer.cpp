@@ -379,7 +379,7 @@ SwitchLayer::Token SwitchLayer::decode_token(Reader& r) {
   t.serial = r.u64();
   t.epoch = r.u64();
   t.initiator = r.u32();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8);
   t.counts.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) t.counts.push_back(r.u64());
   return t;

@@ -319,7 +319,7 @@ void VsyncSwitchLayer::on_control(Message m) {
           break;
         case CtlType::kCut: {
           closing = r.u64();
-          const std::uint32_t n = r.u32();
+          const std::uint32_t n = r.count(12);
           for (std::uint32_t i = 0; i < n; ++i) {
             const std::uint32_t member = r.u32();
             const std::uint64_t count = r.u64();

@@ -26,6 +26,15 @@ std::string Reader::str() {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
+std::uint32_t Reader::count(std::size_t min_elem_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_elem_bytes) {
+    throw DecodeError("element count " + std::to_string(n) + " exceeds the " +
+                      std::to_string(remaining()) + " bytes left");
+  }
+  return n;
+}
+
 std::uint64_t Reader::varint() {
   std::uint64_t v = 0;
   for (unsigned shift = 0; shift < 70; shift += 7) {

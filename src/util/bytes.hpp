@@ -105,6 +105,13 @@ class Reader {
   /// Raw bytes of known length.
   std::span<const Byte> raw(std::size_t n) { return take(n); }
 
+  /// A u32 element count taken from the wire, checked against the bytes
+  /// left: each element occupies at least `min_elem_bytes` (> 0), so a
+  /// count the rest of the frame cannot hold throws DecodeError. Decoders
+  /// read every untrusted count through this before reserving storage for
+  /// it, so a malformed frame is a drop rather than a giant allocation.
+  std::uint32_t count(std::size_t min_elem_bytes);
+
   /// Length-prefixed (u32) byte string, copied out.
   Bytes bytes();
 

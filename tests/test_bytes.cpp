@@ -111,6 +111,26 @@ TEST(Bytes, RemainingCountsDown) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
+TEST(Bytes, CountBoundedByRemainingBytes) {
+  Bytes buf;
+  Writer w(buf);
+  w.u32(2);
+  w.u64(7);
+  w.u64(8);
+  Reader ok(buf);
+  EXPECT_EQ(ok.count(8), 2u);
+  // Two 8-byte elements fit; claiming a third, or wider elements, does not.
+  buf[0] = 3;
+  Reader over(buf);
+  EXPECT_THROW(over.count(8), DecodeError);
+  buf[0] = 2;
+  Reader wide(buf);
+  EXPECT_THROW(wide.count(12), DecodeError);
+  const Bytes huge = {0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0};
+  Reader r(huge);
+  EXPECT_THROW(r.count(1), DecodeError);
+}
+
 TEST(Bytes, PrintableRendering) {
   const Bytes b = {'a', 'b', 0x01};
   EXPECT_EQ(to_string(std::span<const Byte>(b)), "ab\\x01");

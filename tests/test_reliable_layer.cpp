@@ -92,6 +92,66 @@ TEST_F(ReliableTest, TailLossRecoveredViaHeartbeat) {
   }
 }
 
+TEST_F(ReliableTest, HeartbeatsSuppressedWhileStreaming) {
+  // Member 0 sends every 20 ms for 1 s, so every 50 ms heartbeat tick finds
+  // its stream advanced: each data frame already announced the horizon.
+  GroupHarness h(3, reliable_only());
+  const Duration interval = ReliableConfig{}.heartbeat_interval;
+  constexpr int kMsgs = 50;
+  const Time last_send = kMillisecond + (kMsgs - 1) * 20 * kMillisecond;
+  for (int i = 0; i < kMsgs; ++i) {
+    h.sim.scheduler().at(kMillisecond + i * 20 * kMillisecond,
+                         [&] { h.group.send(0, to_bytes("s")); });
+  }
+  h.sim.run_until(last_send + kMillisecond);
+  for (ReliableLayer* l : g_layers) EXPECT_EQ(l->stats().heartbeats_sent, 0u);
+  // Once the stream stops, the tick after next heartbeats again...
+  h.sim.run_until(last_send + 2 * interval);
+  EXPECT_EQ(g_layers[0]->stats().heartbeats_sent, 1u);
+  // ...and every tick after that, as for any quiet stream.
+  h.sim.run_until(last_send + 12 * interval);
+  EXPECT_EQ(g_layers[0]->stats().heartbeats_sent, 11u);
+  // Members that never sent have no horizon to announce.
+  EXPECT_EQ(g_layers[1]->stats().heartbeats_sent, 0u);
+  EXPECT_EQ(g_layers[2]->stats().heartbeats_sent, 0u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(h.delivered_data(p).size(), static_cast<std::size_t>(kMsgs));
+  }
+}
+
+TEST_F(ReliableTest, TailLossAfterSteadyStreamRecovered) {
+  // A steady stream whose LAST message alone is lost toward every peer.
+  // The tick right after it skips its heartbeat (the stream advanced during
+  // the interval), so the gap is exposed by the following tick at worst:
+  // recovery within two heartbeat intervals, one NACK tick and the
+  // heartbeat/NACK/retransmit hops.
+  GroupHarness h(3, reliable_only());
+  const ReliableConfig cfg;
+  constexpr int kMsgs = 30;
+  const Time tail = kMillisecond + (kMsgs - 1) * 20 * kMillisecond;
+  for (int i = 0; i < kMsgs - 1; ++i) {
+    h.sim.scheduler().at(kMillisecond + i * 20 * kMillisecond,
+                         [&] { h.group.send(0, to_bytes("s")); });
+  }
+  h.sim.scheduler().at(tail, [&] {
+    h.net.set_link_up(h.group.node(0), h.group.node(1), false);
+    h.net.set_link_up(h.group.node(0), h.group.node(2), false);
+    h.group.send(0, to_bytes("tail"));
+    h.net.set_link_up(h.group.node(0), h.group.node(1), true);
+    h.net.set_link_up(h.group.node(0), h.group.node(2), true);
+  });
+  h.sim.run_until(tail + kMillisecond);
+  EXPECT_GT(h.net.stats().copies_dropped_link, 0u);
+  EXPECT_EQ(h.delivered_data(1).size(), static_cast<std::size_t>(kMsgs - 1));
+  const Duration hops = 3 * testing::ideal_net().base_latency;
+  h.sim.run_until(tail + 2 * cfg.heartbeat_interval + cfg.nack_interval + hops);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(h.delivered_data(p).size(), static_cast<std::size_t>(kMsgs)) << "member " << p;
+  }
+  EXPECT_EQ(g_layers[0]->stats().heartbeats_sent, 1u);
+  EXPECT_GT(g_layers[0]->stats().retransmissions, 0u);
+}
+
 TEST_F(ReliableTest, NoDuplicateDeliveries) {
   GroupHarness h(3, reliable_only(), testing::lossy_net(0.25), /*seed=*/9);
   for (int i = 0; i < 10; ++i) h.group.send(1, to_bytes("d" + std::to_string(i)));
