@@ -1,115 +1,28 @@
 #include "net/endpoint.hpp"
 
-#include "rt/transport.hpp"
-
 namespace msw {
-
-namespace {
-std::uint64_t pack(EventId ev) {
-  return std::uint64_t{ev.slot} | (std::uint64_t{ev.gen} << 32);
-}
-EventId unpack(std::uint64_t v) {
-  return EventId{static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(v >> 32)};
-}
-}  // namespace
-
-Endpoint::Endpoint(Network& net, NodeId id) : net_(&net), id_(id) {}
-
-Endpoint::Endpoint(Transport& transport, NodeId id) : transport_(&transport), id_(id) {}
 
 Endpoint::~Endpoint() { cancel_all_timers(); }
 
-Time Endpoint::now() const {
-  return net_ ? net_->scheduler().now() : transport_->now();
-}
-
-void Endpoint::set_handler(PacketHandler handler) {
-  if (net_) {
-    net_->set_handler(id_, std::move(handler));
-  } else {
-    transport_->set_handler(id_, std::move(handler));
-  }
-}
-
-void Endpoint::set_run_handler(PacketRunHandler handler) {
-  if (net_) {
-    net_->set_run_handler(id_, std::move(handler));
-  } else {
-    transport_->set_run_handler(id_, std::move(handler));
-  }
-}
-
-void Endpoint::send(NodeId to, Payload data) {
-  if (net_) {
-    net_->send(id_, to, std::move(data));
-  } else {
-    transport_->send(id_, to, std::move(data));
-  }
-}
-
-void Endpoint::multicast(const std::vector<NodeId>& to, Payload data) {
-  if (net_) {
-    net_->multicast(id_, to, std::move(data));
-  } else {
-    transport_->multicast(id_, to, std::move(data));
-  }
-}
-
-void Endpoint::multicast_run(const std::vector<NodeId>& to, std::span<const Payload> msgs) {
-  if (net_) {
-    net_->multicast_run(id_, to, msgs);
-  } else {
-    transport_->multicast_run(id_, to, msgs);
-  }
-}
-
-void Endpoint::consume_cpu(Duration d) {
-  if (net_) {
-    net_->consume_cpu(id_, d);
-  } else {
-    transport_->consume_cpu(id_, d);
-  }
-}
-
-TickArena* Endpoint::tick_arena() {
-  return net_ ? &net_->scheduler().tick_arena() : transport_->tick_arena();
-}
-
 TimerId Endpoint::set_timer(Duration delay, std::function<void()> fn) {
   const std::uint64_t tid = next_timer_++;
-  auto wrapped = [this, tid, fn = std::move(fn)]() {
+  const TransportTimer t = transport_.set_timer(id_, delay, [this, tid, fn = std::move(fn)]() {
     timers_.erase(tid);
     fn();
-  };
-  if (net_) {
-    const EventId ev = net_->scheduler().after(delay, std::move(wrapped));
-    timers_.emplace(tid, pack(ev));
-  } else {
-    const TransportTimer t = transport_->set_timer(id_, delay, std::move(wrapped));
-    timers_.emplace(tid, t.v);
-  }
+  });
+  timers_.emplace(tid, t.v);
   return TimerId{tid};
 }
 
 void Endpoint::cancel_timer(TimerId id) {
   auto it = timers_.find(id.v);
   if (it == timers_.end()) return;
-  if (net_) {
-    net_->scheduler().cancel(unpack(it->second));
-  } else {
-    transport_->cancel_timer(id_, TransportTimer{it->second});
-  }
+  transport_.cancel_timer(id_, TransportTimer{it->second});
   timers_.erase(it);
 }
 
 void Endpoint::cancel_all_timers() {
-  for (auto& [tid, handle] : timers_) {
-    if (net_) {
-      net_->scheduler().cancel(unpack(handle));
-    } else {
-      transport_->cancel_timer(id_, TransportTimer{handle});
-    }
-  }
+  for (auto& [tid, handle] : timers_) transport_.cancel_timer(id_, TransportTimer{handle});
   timers_.clear();
 }
 

@@ -1,17 +1,13 @@
 // Per-node transport handle.
 //
-// An Endpoint binds one NodeId to its medium and owns that node's timer
+// An Endpoint binds one NodeId to its Transport and owns that node's timer
 // registrations. Protocol stacks talk to the world below them exclusively
-// through an Endpoint, which keeps both the Network and Transport
-// interfaces free of per-node state.
+// through an Endpoint, which keeps the Transport interface free of
+// per-node state.
 //
-// Two constructions, one behavior:
-//   - Endpoint(Network&, id): the historical sim-only path. Calls go
-//     straight to the Network/Scheduler — bit-for-bit the pre-runtime
-//     behavior, no virtual dispatch added on the data plane.
-//   - Endpoint(Transport&, id): the runtime boundary. Calls go through the
-//     Transport interface, so the same stack runs over the sim adapter,
-//     the threaded loopback backend, or real UDP sockets.
+// There is one path: every call goes through the Transport interface, so
+// the same stack runs over the simulator (SimTransport, compiled in every
+// build), the threaded loopback backend, or real UDP sockets.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +15,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/network.hpp"
 #include "net/node_id.hpp"
+#include "rt/transport.hpp"
 
 namespace msw {
-
-class Transport;
-struct TransportTimer;
 
 /// Handle for a pending timer; see Endpoint::set_timer.
 struct TimerId {
@@ -36,8 +29,7 @@ struct TimerId {
 
 class Endpoint {
  public:
-  Endpoint(Network& net, NodeId id);
-  Endpoint(Transport& transport, NodeId id);
+  Endpoint(Transport& transport, NodeId id) : transport_(transport), id_(id) {}
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -45,31 +37,28 @@ class Endpoint {
 
   NodeId id() const { return id_; }
 
-  /// The simulated network — sim-backed endpoints only (benches and tests
-  /// reach through this for NetStats/partition control). Null otherwise.
-  Network* network_or_null() { return net_; }
-  Network& network() { return *net_; }
+  Time now() const { return transport_.now(); }
 
-  /// The transport boundary, when constructed over one. Null on the
-  /// historical Network path.
-  Transport* transport() { return transport_; }
+  void set_handler(PacketHandler handler) { transport_.set_handler(id_, std::move(handler)); }
+  void set_run_handler(PacketRunHandler handler) {
+    transport_.set_run_handler(id_, std::move(handler));
+  }
 
-  Time now() const;
-
-  void set_handler(PacketHandler handler);
-  void set_run_handler(PacketRunHandler handler);
-
-  void send(NodeId to, Payload data);
-  void multicast(const std::vector<NodeId>& to, Payload data);
-  void multicast_run(const std::vector<NodeId>& to, std::span<const Payload> msgs);
+  void send(NodeId to, Payload data) { transport_.send(id_, to, std::move(data)); }
+  void multicast(const std::vector<NodeId>& to, Payload data) {
+    transport_.multicast(id_, to, std::move(data));
+  }
+  void multicast_run(const std::vector<NodeId>& to, std::span<const Payload> msgs) {
+    transport_.multicast_run(id_, to, msgs);
+  }
 
   /// Model protocol processing cost (sim charges the node's serial CPU;
   /// real transports do nothing — their processing time is real).
-  void consume_cpu(Duration d);
+  void consume_cpu(Duration d) { transport_.consume_cpu(id_, d); }
 
   /// Per-tick allocator for batch paths, or nullptr when the medium has no
   /// deterministic tick (real transports).
-  TickArena* tick_arena();
+  TickArena* tick_arena() { return transport_.tick_arena(); }
 
   /// One-shot timer. The callback is dropped (not fired) if cancelled or if
   /// the Endpoint is destroyed first.
@@ -78,12 +67,10 @@ class Endpoint {
   void cancel_all_timers();
 
  private:
-  Network* net_ = nullptr;        // exactly one of net_ / transport_ is set
-  Transport* transport_ = nullptr;
+  Transport& transport_;
   NodeId id_;
   std::uint64_t next_timer_ = 1;
-  /// Sim path: values are Scheduler EventIds packed (slot | gen << 32).
-  /// Transport path: values are TransportTimer tokens.
+  /// TimerId -> the transport's TransportTimer token.
   std::unordered_map<std::uint64_t, std::uint64_t> timers_;
 };
 

@@ -4,20 +4,13 @@ namespace msw {
 
 TransportTimer SimTransport::set_timer(NodeId /*node*/, Duration delay,
                                        std::function<void()> fn) {
-  const std::uint64_t tid = next_timer_++;
-  EventId ev = net_.scheduler().after(delay, [this, tid, fn = std::move(fn)]() {
-    timers_.erase(tid);
-    fn();
-  });
-  timers_.emplace(tid, ev);
-  return TransportTimer{tid};
+  const EventId ev = net_.scheduler().after(delay, std::move(fn));
+  return TransportTimer{std::uint64_t{ev.slot} | (std::uint64_t{ev.gen} << 32)};
 }
 
 void SimTransport::cancel_timer(NodeId /*node*/, TransportTimer timer) {
-  auto it = timers_.find(timer.v);
-  if (it == timers_.end()) return;
-  net_.scheduler().cancel(it->second);
-  timers_.erase(it);
+  net_.scheduler().cancel(
+      EventId{static_cast<std::uint32_t>(timer.v), static_cast<std::uint32_t>(timer.v >> 32)});
 }
 
 }  // namespace msw

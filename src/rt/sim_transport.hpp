@@ -1,16 +1,14 @@
 // Transport backend over the deterministic discrete-event simulator.
 //
-// A pure forwarding shim: every operation maps 1:1 onto the call the
-// pre-runtime code made directly on Network/Scheduler, in the same order,
-// drawing the same RNG streams — so a stack built over a SimTransport
-// produces byte-identical traces to one built over the Network, and the
-// simulator remains the reproducible substrate for tests and fuzzing.
+// This is the simulator's medium, compiled in every build (it needs no
+// epoll and no threads): Group builds its stacks over one. It is a
+// stateless forwarding shim that holds only its Network. Every operation
+// maps 1:1 onto a Network/Scheduler call, in the same order, drawing the
+// same RNG streams, so the simulator stays the reproducible substrate for
+// tests and fuzzing. A timer token is the Scheduler's EventId itself.
 #pragma once
 
-#include <unordered_map>
-
 #include "rt/transport.hpp"
-#include "sim/scheduler.hpp"
 
 namespace msw {
 
@@ -38,20 +36,19 @@ class SimTransport final : public Transport {
     net_.multicast_run(from, to, msgs);
   }
 
+  /// The token is the packed EventId (slot | gen << 32); never 0, because
+  /// generations start at 1.
   TransportTimer set_timer(NodeId /*node*/, Duration delay, std::function<void()> fn) override;
-  void cancel_timer(NodeId node, TransportTimer timer) override;
+  /// Scheduler::cancel ignores ids that already fired, so this needs no
+  /// bookkeeping of its own.
+  void cancel_timer(NodeId /*node*/, TransportTimer timer) override;
 
   Time now() const override { return net_.scheduler().now(); }
   void consume_cpu(NodeId node, Duration d) override { net_.consume_cpu(node, d); }
   TickArena* tick_arena() override { return &net_.scheduler().tick_arena(); }
-  bool deterministic() const override { return true; }
-
-  Network& network() { return net_; }
 
  private:
   Network& net_;
-  std::uint64_t next_timer_ = 1;
-  std::unordered_map<std::uint64_t, EventId> timers_;
 };
 
 }  // namespace msw

@@ -35,7 +35,6 @@ class ThreadedTransport : public Transport, public TelemetryClock {
   /// Monotonic wall-clock microseconds since transport construction.
   Time now() const override;
   Time telemetry_now() const override { return now(); }
-  bool deterministic() const override { return false; }
 
   /// Short backend tag for labeling stats/bench output ("loopback", "udp").
   virtual const char* backend_name() const = 0;

@@ -2,14 +2,14 @@
 //
 // A Transport is everything a protocol stack needs from the world below
 // it: datagram send/multicast, a receive callback per node, one-shot
-// timers, and a monotonic clock. The paper's SP and meta-property
-// guarantees are properties of the layer stack, not of the medium, so the
-// same src/stack layers (unchanged, no medium #ifdefs) run over any
-// implementation of this interface:
+// timers, and a monotonic clock. It is the only medium a Stack knows. The
+// paper's SP and meta-property guarantees are properties of the layer
+// stack, not of the medium, so the same src/stack layers (unchanged, no
+// medium #ifdefs) run over any implementation of this interface:
 //
 //   SimTransport       the deterministic discrete-event simulator
-//                      (src/sim + src/net), byte-identical to driving the
-//                      Network directly — the test substrate.
+//                      (src/sim + src/net), compiled in every build; Group
+//                      runs over it — the test substrate.
 //   LoopbackTransport  in-process delivery between real threads through
 //                      lock-free MPSC inboxes — the threading substrate.
 //   UdpTransport       real UDP sockets on an epoll event loop — the wire
@@ -96,9 +96,6 @@ class Transport {
   /// The sim scheduler's per-tick allocator, or nullptr on real backends
   /// (batch paths then fall back to per-context scratch buffers).
   virtual TickArena* tick_arena() { return nullptr; }
-
-  /// True when this backend replays identically for a fixed seed (the sim).
-  virtual bool deterministic() const = 0;
 };
 
 }  // namespace msw

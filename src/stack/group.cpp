@@ -3,7 +3,8 @@
 namespace msw {
 
 Group::Group(Simulation& sim, Network& net, std::size_t n, const LayerFactory& factory,
-             bool capture_trace) {
+             bool capture_trace)
+    : transport_(net) {
   TelemetryHub& hub = sim.telemetry();
   if (hub.network() != &net) {
     // First group on this network: make it the incarnation source and hook
@@ -12,10 +13,10 @@ Group::Group(Simulation& sim, Network& net, std::size_t n, const LayerFactory& f
     net.bind_metrics(hub.global());
   }
   members_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) members_.push_back(net.add_node());
+  for (std::size_t i = 0; i < n; ++i) members_.push_back(transport_.add_node());
   stacks_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    stacks_.push_back(std::make_unique<Stack>(net, members_[i], members_,
+    stacks_.push_back(std::make_unique<Stack>(transport_, members_[i], members_,
                                               factory(members_[i], members_), sim.fork_rng(),
                                               capture_trace ? &capture_ : nullptr, &hub));
   }

@@ -1,11 +1,14 @@
-// A process group: n nodes on one network, each running an identical
-// protocol stack built from a single LayerFactory (the paper's requirement
-// that every process have the same stack), sharing one TraceCapture.
+// A process group: n nodes on one simulated network, each running an
+// identical protocol stack built from a single LayerFactory (the paper's
+// requirement that every process have the same stack), sharing one
+// TraceCapture. The stacks reach the network through the group's
+// SimTransport, the same Transport boundary the real runtime uses.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "rt/sim_transport.hpp"
 #include "sim/simulation.hpp"
 #include "stack/stack.hpp"
 
@@ -52,6 +55,7 @@ class Group {
   std::uint64_t total_sent() const;
 
  private:
+  SimTransport transport_;  // outlives stacks_, whose endpoints refer to it
   std::vector<NodeId> members_;
   TraceCapture capture_;
   std::vector<std::unique_ptr<Stack>> stacks_;

@@ -5,27 +5,16 @@
 
 namespace msw {
 
-Stack::Stack(Network& net, NodeId self, std::vector<NodeId> members,
-             std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture,
-             TelemetryHub* hub)
-    : endpoint_(net, self), members_(std::move(members)), rng_(rng), capture_(capture) {
-  wire(std::move(layers), hub);
-}
-
 Stack::Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
              std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture,
              TelemetryHub* hub)
     : endpoint_(transport, self), members_(std::move(members)), rng_(rng), capture_(capture) {
-  wire(std::move(layers), hub);
-}
-
-void Stack::wire(std::vector<std::unique_ptr<Layer>> layers, TelemetryHub* hub) {
-  const NodeId self = endpoint_.id();
   if (hub != nullptr) {
     tracer_ = &hub->tracer(self.v);
     metrics_ = &hub->node_metrics(self.v);
     metrics_->attach_counter("app.sent", &next_seq_);
     metrics_->attach_counter("app.delivered", &delivered_);
+    metrics_->attach_counter("stack.decode_drops", &decode_drops_);
     n_app_send_ = tracer_->intern("app.send");
     n_app_deliver_ = tracer_->intern("app.deliver");
   } else {
@@ -105,6 +94,7 @@ void Stack::to_app(Message m) {
   try {
     h = AppHeader::pop(m);
   } catch (const DecodeError& e) {
+    ++decode_drops_;
     MSW_LOG(kWarn, "stack", now()) << to_string(self()) << " malformed app header: " << e.what();
     return;
   }
@@ -146,6 +136,7 @@ void Stack::on_packet_run(NodeId src, std::span<const Payload> run) {
   } catch (const DecodeError& e) {
     // Layers isolate malformed messages per message (Layer::up_batch); this
     // is the backstop for an empty chain or a batch-unaware throw.
+    ++decode_drops_;
     MSW_LOG(kDebug, "stack", now())
         << to_string(self()) << " dropped malformed packet run from " << to_string(src) << ": "
         << e.what();
@@ -161,6 +152,7 @@ void Stack::on_packet(Packet p) {
   } catch (const DecodeError& e) {
     // Malformed wire data (corruption, or ciphertext decrypted with the
     // wrong key): real stacks drop such packets at the point of failure.
+    ++decode_drops_;
     MSW_LOG(kDebug, "stack", now())
         << to_string(self()) << " dropped malformed packet from " << to_string(p.src) << ": "
         << e.what();

@@ -26,17 +26,11 @@ using DeliverFn = std::function<void(const MsgId& id, std::span<const Byte> body
 
 class Stack : public Services {
  public:
-  /// `self` must already exist on `net`. `members` is the full group
-  /// (including self), identical at every member.
+  /// `self` must already exist on `transport`. `members` is the full group
+  /// (including self), identical at every member. The layers are the same
+  /// whatever the medium (the simulator, threaded loopback, or UDP sockets).
   /// `hub`, when given, wires this node's Tracer and MetricsRegistry into
-  /// the simulation's telemetry plane; layers reach them via Services.
-  Stack(Network& net, NodeId self, std::vector<NodeId> members,
-        std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture = nullptr,
-        TelemetryHub* hub = nullptr);
-
-  /// Same stack over the runtime boundary: `self` must already exist on
-  /// `transport`. The layers are identical — the medium is the only thing
-  /// that changes (sim adapter, threaded loopback, or UDP sockets).
+  /// the telemetry plane; layers reach them via Services.
   Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
         std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture = nullptr,
         TelemetryHub* hub = nullptr);
@@ -92,13 +86,8 @@ class Stack : public Services {
   TickArena* tick_arena() override { return endpoint_.tick_arena(); }
 
   LayerChain& chain() { return *chain_; }
-  Endpoint& endpoint() { return endpoint_; }
 
  private:
-  /// Shared constructor body: telemetry wiring, chain construction, and
-  /// receive-handler installation (identical for every medium).
-  void wire(std::vector<std::unique_ptr<Layer>> layers, TelemetryHub* hub);
-
   void to_network(Message m);
   void to_app(Message m);
   void on_packet(Packet p);
@@ -119,6 +108,7 @@ class Stack : public Services {
   std::uint64_t deliver_mask_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
+  std::uint64_t decode_drops_ = 0;  // malformed packets dropped at the stack boundary
   bool batching_ = true;
   std::vector<Payload> payload_scratch_;  // reused by to_network_batch
 };

@@ -38,12 +38,19 @@ bool traces_identical_with_times(const Trace& a, const Trace& b) {
   return true;
 }
 
+// Digests pinned on the last build whose Group drove the Network without a
+// Transport in between: the simulator's medium may change shape, but never
+// the traces it produces.
+constexpr std::uint64_t kScenario77Digest = 0x9b422d7b1d70d35eULL;
+constexpr std::uint64_t kFaulted4242Digest = 0x9edbf6f3922114a1ULL;
+
 TEST(Determinism, IdenticalSeedIdenticalTrace) {
   const Trace first = run_scenario(77);
   const Trace second = run_scenario(77);
   EXPECT_TRUE(traces_identical_with_times(first, second))
       << "a seeded run must be bit-reproducible, timestamps included";
   EXPECT_FALSE(first.empty());
+  EXPECT_EQ(trace_digest(first), kScenario77Digest);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
@@ -94,13 +101,15 @@ TEST(Determinism, IdenticalFaultScheduleIdenticalDigest) {
       "dup=0.05@40000;reorder=0.1@20000;linkdown@200000:0-2;linkup@450000:0-2;"
       "part@600000:x2;heal@800000:x2;jitter@300000:150000:5000");
   ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(faulted_run_digest(4242, *schedule), faulted_run_digest(4242, *schedule));
-  EXPECT_NE(faulted_run_digest(4242, *schedule), faulted_run_digest(4243, *schedule))
+  const std::uint64_t digest = faulted_run_digest(4242, *schedule);
+  EXPECT_EQ(digest, kFaulted4242Digest);
+  EXPECT_EQ(digest, faulted_run_digest(4242, *schedule));
+  EXPECT_NE(digest, faulted_run_digest(4243, *schedule))
       << "the simulation seed must actually feed the faulted run";
 
   FaultSchedule harder = *schedule;
   harder.dup_prob = 0.2;
-  EXPECT_NE(faulted_run_digest(4242, *schedule), faulted_run_digest(4242, harder))
+  EXPECT_NE(digest, faulted_run_digest(4242, harder))
       << "the schedule's knobs must actually perturb the run";
 }
 

@@ -4,6 +4,7 @@
 #include "helpers.hpp"
 #include "proto/fifo_layer.hpp"
 #include "proto/reliable_layer.hpp"
+#include "rt/sim_transport.hpp"
 
 namespace msw {
 namespace {
@@ -60,9 +61,10 @@ class DirectFifo : public ::testing::Test {
     // A bare-bones Services for direct layer driving.
     sim_ = std::make_unique<Simulation>(1);
     net_ = std::make_unique<Network>(sim_->scheduler(), sim_->fork_rng(), testing::ideal_net());
-    const NodeId self = net_->add_node();
-    const NodeId peer = net_->add_node();
-    stack_ = std::make_unique<Stack>(*net_, self, std::vector<NodeId>{self, peer},
+    transport_ = std::make_unique<SimTransport>(*net_);
+    const NodeId self = transport_->add_node();
+    const NodeId peer = transport_->add_node();
+    stack_ = std::make_unique<Stack>(*transport_, self, std::vector<NodeId>{self, peer},
                                      make_layers(), sim_->fork_rng());
   }
 
@@ -87,6 +89,7 @@ class DirectFifo : public ::testing::Test {
 
   std::unique_ptr<Simulation> sim_;
   std::unique_ptr<Network> net_;
+  std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<Stack> stack_;
   FifoLayer* fifo_ = nullptr;
 };

@@ -6,6 +6,7 @@
 
 #include "net/endpoint.hpp"
 #include "net/network.hpp"
+#include "rt/sim_transport.hpp"
 #include "sim/simulation.hpp"
 
 namespace msw {
@@ -208,7 +209,8 @@ TEST(Network, StatsCountTraffic) {
 
 TEST(Endpoint, TimerFiresOnce) {
   Fixture f(fast_config());
-  Endpoint ep(f.net, f.net.add_node());
+  SimTransport tr(f.net);
+  Endpoint ep(tr, tr.add_node());
   int fired = 0;
   ep.set_timer(100, [&] { ++fired; });
   f.sim.run();
@@ -217,7 +219,8 @@ TEST(Endpoint, TimerFiresOnce) {
 
 TEST(Endpoint, CancelledTimerDoesNotFire) {
   Fixture f(fast_config());
-  Endpoint ep(f.net, f.net.add_node());
+  SimTransport tr(f.net);
+  Endpoint ep(tr, tr.add_node());
   int fired = 0;
   const TimerId id = ep.set_timer(100, [&] { ++fired; });
   ep.cancel_timer(id);
@@ -227,9 +230,10 @@ TEST(Endpoint, CancelledTimerDoesNotFire) {
 
 TEST(Endpoint, DestructionCancelsTimers) {
   Fixture f(fast_config());
+  SimTransport tr(f.net);
   int fired = 0;
   {
-    Endpoint ep(f.net, f.net.add_node());
+    Endpoint ep(tr, tr.add_node());
     ep.set_timer(100, [&] { ++fired; });
   }
   f.sim.run();

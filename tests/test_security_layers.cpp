@@ -9,6 +9,7 @@
 #include "proto/confidentiality_layer.hpp"
 #include "proto/integrity_layer.hpp"
 #include "proto/noreplay_layer.hpp"
+#include "rt/sim_transport.hpp"
 #include "util/digest.hpp"
 
 namespace msw {
@@ -141,8 +142,9 @@ TEST_F(SecurityTest, EavesdropperSeesOnlyCiphertext) {
     layers.push_back(std::make_unique<ConfidentialityLayer>(key));
     return layers;
   };
-  Stack sa(net, a, wire_members, keyed(kGroupKey), sim.fork_rng());
-  Stack sb(net, b, wire_members, keyed(kGroupKey), sim.fork_rng());
+  SimTransport transport(net);
+  Stack sa(transport, a, wire_members, keyed(kGroupKey), sim.fork_rng());
+  Stack sb(transport, b, wire_members, keyed(kGroupKey), sim.fork_rng());
   sa.start();
   sb.start();
 
@@ -172,8 +174,9 @@ TEST_F(SecurityTest, WrongKeyMemberCannotDecode) {
     layers.push_back(std::make_unique<ConfidentialityLayer>(key));
     return layers;
   };
-  Stack sa(net, a, members, keyed(kGroupKey), sim.fork_rng());
-  Stack sb(net, b, members, keyed(kGroupKey + 1), sim.fork_rng());  // intruder
+  SimTransport transport(net);
+  Stack sa(transport, a, members, keyed(kGroupKey), sim.fork_rng());
+  Stack sb(transport, b, members, keyed(kGroupKey + 1), sim.fork_rng());  // intruder
   sa.start();
   sb.start();
   Bytes intruder_got;

@@ -21,6 +21,10 @@ struct ProtoCase {
   LayerFactory (*make)();
 };
 
+// gtest prints the parameter into each ctest name; print the name, not a
+// byte dump of the pointers, so the names stay the same from build to build.
+void PrintTo(const ProtoCase& c, std::ostream* os) { *os << c.name; }
+
 LayerFactory make_seq() { return make_sequencer_factory(); }
 LayerFactory make_tok() { return make_token_factory(); }
 

@@ -10,11 +10,13 @@
 
 #include "helpers.hpp"
 #include "proto/causal_layer.hpp"
+#include "proto/fifo_layer.hpp"
 #include "proto/sequencer_layer.hpp"
 #include "proto/token_layer.hpp"
 #include "proto/vsync_layer.hpp"
 #include "switch/hybrid.hpp"
 #include "switch/multiplex_layer.hpp"
+#include "telemetry/hub.hpp"
 
 namespace msw {
 namespace {
@@ -122,6 +124,28 @@ TEST(WireCounts, VsyncMemberListsHugeCountDropped) {
   w.u32(kHugeCount);
   w.u32(0);
   EXPECT_THROW(decode_view_body(body), DecodeError);
+}
+
+TEST(WireCounts, OneByteFrameCountedAsStackDecodeDrop) {
+  // FifoLayer lets a short header escape as DecodeError; the stack boundary
+  // drops the frame and counts it once.
+  GroupHarness h(3, single_layer<FifoLayer>());
+  const MetricsRegistry& reg = h.sim.telemetry().node_metrics(h.group.node(1).v);
+  const auto drops = [&reg] {
+    const MetricsRegistry::Entry* e = reg.find("stack.decode_drops");
+    return e == nullptr ? -1.0 : reg.value_of(*e);
+  };
+  ASSERT_EQ(drops(), 0.0);
+  const NodeId stranger = h.net.add_node();
+  h.net.send(stranger, h.group.node(1), Payload(Bytes{Byte{0}}));
+  EXPECT_NO_THROW(h.sim.run_for(kSecond));
+  EXPECT_EQ(drops(), 1.0);
+  h.group.send(0, to_bytes("still-alive"));
+  h.sim.run_for(kSecond);
+  for (std::size_t p = 0; p < h.group.size(); ++p) {
+    EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+  }
+  EXPECT_EQ(drops(), 1.0);
 }
 
 }  // namespace
